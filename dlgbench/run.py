@@ -6,8 +6,8 @@ Run from the root of a dlg2k checkout; the program is imported from
 ./src, never from an installed copy. One process runs one workload, so
 set-up time and peak memory belong to that workload alone.
 
---trace 0 reports the end-to-end metrics setup_s, ops_per_s and
-peak_rss_mb, and prints op_p50_us, op_p99_us and failed_ratio.
+--trace 0 reports the end-to-end metrics setup_s, ops_per_s, op_p50_us
+and peak_rss_mb, and prints op_p99_us and failed_ratio.
 --trace 1 alternates untraced and traced slices of the window and
 reports the per-layer metrics in spans.PER_LAYER, including the
 traced/untraced throughput ratio.
@@ -40,9 +40,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".bench_out"
 
-SETUP_REPEATS = 9  # fresh processes per run; setup_s is their median
+SETUP_REPEATS = 15  # fresh processes per run, spread over the window; setup_s is their median
 WARMUP_S = 0.5
-MIN_OPS = 1000  # leaves at least ten samples beyond the 99th percentile
+MIN_OPS = 1000  # leaves ten samples beyond the 99th percentile; peak_rss_mb is read here
 MAX_WINDOW_FACTOR = 3  # a slow machine may stretch the window this far for MIN_OPS
 BATCH = 64
 SLICE_S = 0.25  # traced runs alternate untraced and traced slices this long
@@ -51,14 +51,13 @@ END_TO_END = (
     ("setup_s", "s"),
     ("ops_per_s", "1/s"),
     ("peak_rss_mb", "MB"),
+    ("op_p50_us", "us"),
 )
-# Printed and kept in the result file but not in the JSON metrics. On a
-# shared host whose speed swings up to 2x for seconds to minutes at a time,
-# per-operation percentiles follow how much of a run falls in the slow
-# phases (ten-run spreads of 17-35%, past the largest bound a metric may
-# have), while ops_per_s averages over the whole window. failed_ratio is 0
-# on correct code; attempted and failed carry the failures.
-REPORTED = (("op_p50_us", "us"), ("op_p99_us", "us"), ("failed_ratio", "ratio"))
+# Printed and kept in the result file but not in the JSON metrics.
+# op_p99_us on roundtrip-1024 rests on about 17 samples beyond it and
+# spreads past the largest bound a metric may have (see README.md).
+# failed_ratio is 0 on correct code; attempted and failed carry failures.
+REPORTED = (("op_p99_us", "us"), ("failed_ratio", "ratio"))
 
 # Times `import dlg2k` and validate_root on the reused bases in a fresh
 # interpreter. argv: src dir, comma-separated modules, then k:hex bases.
@@ -89,25 +88,32 @@ def load_program():
     return dlg2k
 
 
-def time_setup(modules, bases, repeats: int) -> list[float]:
+def time_setup(modules, bases) -> float:
+    """One set-up, timed in a fresh interpreter."""
     argv = [sys.executable, "-c", _SETUP_CHILD, str(SRC), ",".join(modules),
             *(f"{k}:{h:x}" for k, h in bases)]
-    times = []
-    for _ in range(repeats):
-        done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=120, check=True)
-        times.append(float(done.stdout.strip().splitlines()[-1]))
-    return times
+    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=120, check=True)
+    return float(done.stdout.strip().splitlines()[-1])
 
 
 class Window:
-    """Operations run in one mode, with their timed wall clock."""
+    """Operations run in one mode, with their timed wall clock.
 
-    def __init__(self):
+    With rss_after set, peak_rss_mb is read after the first batch that
+    brings the window to that many operations. Memory a long run keeps
+    adding (CPython's tuple free lists fill slowly on lns-64, about 40
+    bytes an operation, up to a few MB) then counts for a fixed amount of
+    work, so a faster program does not read as a larger one.
+    """
+
+    def __init__(self, rss_after: int | None = None):
         self.elapsed = 0.0
         self.attempted = 0
         self.failed = 0
-        self.latencies = array("d")  # flat, so memory barely grows with throughput
+        self.latencies = array("d")
         self.first_failure = None
+        self.rss_after = rss_after
+        self.peak_rss_mb = None
 
     @property
     def verified(self) -> int:
@@ -171,6 +177,8 @@ class Runner:
                 win.failed += 1
             elif traced:
                 self.odd_logs.extend(wl.odd_inputs(inp, out))
+        if win.peak_rss_mb is None and win.rss_after is not None and win.attempted >= win.rss_after:
+            win.peak_rss_mb = peak_rss_mb()
 
     def fill(self, phase: str, win: Window, seconds: float, min_ops: int = 0, traced=False):
         """Run batches until the window holds `seconds` of operations."""
@@ -183,9 +191,12 @@ class Runner:
             self.batch(phase, win, until, traced)
 
 
-def percentile_tail(latencies: list[float], q: float) -> tuple[float, int]:
-    """Nearest-rank q-quantile and how many samples lie beyond it."""
-    xs = sorted(latencies)
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def percentile_tail(xs: list[float], q: float) -> tuple[float, int]:
+    """Nearest-rank q-quantile of sorted xs and how many samples lie beyond it."""
     rank = math.ceil(q * len(xs))
     return xs[rank - 1], len(xs) - rank
 
@@ -211,7 +222,6 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, *,
 
     wl = WORKLOADS[name](seed)
     bases = wl.reused_bases()
-    setup_times = time_setup(wl.modules, bases, setup_repeats)
     Residue = MODULES["kbit_core"].Residue
     wl.prepare({(k, h): MODULES["root_theory"].validate_root(Residue(k, h)) for k, h in bases})
 
@@ -226,10 +236,16 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, *,
     warm = Window()
     runner.fill("warm", warm, warmup_s)
 
-    plain = Window()
+    plain = Window(rss_after=min_ops)
     traced = Window()
+    setup_times = []
     if not trace:
-        runner.fill("plain", plain, seconds, min_ops)
+        # Set-up is timed between slices of the window, so its median sees
+        # the host's speed over the whole run, as ops_per_s does.
+        for i in range(1, setup_repeats + 1):
+            setup_times.append(time_setup(wl.modules, bases))
+            runner.fill("plain", plain, seconds * i / setup_repeats,
+                        min_ops if i == setup_repeats else 0)
     else:
         half = seconds / 2
         while plain.elapsed < half or traced.elapsed < half:
@@ -250,15 +266,17 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, *,
         "setup_runs_s": setup_times,
     }
     if not trace:
-        p99, beyond = percentile_tail(plain.latencies, 0.99)
-        result["samples"] = len(plain.latencies)
+        lat = sorted(plain.latencies)
+        p99, beyond = percentile_tail(lat, 0.99)
+        result["samples"] = len(lat)
         result["p99_beyond"] = beyond
-        result["op_p50_us"] = statistics.median(plain.latencies) * 1e6
         result["op_p99_us"] = p99 * 1e6
         metrics = {
             "setup_s": statistics.median(setup_times),
             "ops_per_s": plain.verified / plain.elapsed,
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            # None only if the window hit its cap before MIN_OPS ran
+            "peak_rss_mb": plain.peak_rss_mb or peak_rss_mb(),
+            "op_p50_us": statistics.median(lat) * 1e6,
         }
     else:
         import spans

@@ -65,6 +65,17 @@ class TinyRuns(unittest.TestCase):
                 self.assertGreaterEqual(res["attempted"], 1)
                 self.assertEqual(res["failed"], 0)
                 self.assertEqual(set(res["metrics"]), {n for n, _ in run.END_TO_END})
+                self.assertTrue(all(v > 0 for v in res["metrics"].values()), res["metrics"])
+
+    def test_peak_rss_is_read_after_a_fixed_count(self):
+        win = run.Window(rss_after=10)
+        runner = run.Runner(workloads.Lns64(5), 5)
+        runner.wl.prepare({kh: workloads.root_theory.validate_root(workloads.kbit_core.Residue(*kh))
+                           for kh in runner.wl.reused_bases()})
+        runner.batch("plain", win, lambda elapsed, attempted: attempted >= 5)
+        self.assertIsNone(win.peak_rss_mb)
+        runner.batch("plain", win, lambda elapsed, attempted: attempted >= 12)
+        self.assertIsNotNone(win.peak_rss_mb)
 
     def test_same_seed_same_inputs(self):
         def first_inputs(name, seed):
@@ -107,6 +118,9 @@ class TracedRun(unittest.TestCase):
                 self.assertTrue(res["correct"], res["first_failure"])
                 self.assertEqual(list(res["metrics"]), [n for n, _, _ in spans.PER_LAYER])
                 self.assertGreater(res["metrics"]["bench.layer_share"], 0)
+        # .calls is per operation: one cli.main per oneshot-cli operation
+        res = run.run_workload("oneshot-cli", seed=7, seconds=0.4, trace=True, **TINY)
+        self.assertEqual(res["metrics"]["cli.main.calls"], 1.0)
         self.assertEqual(originals, (dlg_engine.factor_triple, cli.main, cli.validate_root,
                                      dlg_engine.validate_root,
                                      workloads.kbit_core.Residue.__dict__["parse"]))

@@ -43,10 +43,11 @@ TRACED = tuple(t[0] for t in TARGETS)
 VALIDATE_WIDTHS = (64, 256, 1024)
 
 # Every metric a traced run reports, in order; BENCHMARK.json lists the same.
+# .calls is per traced operation, so it counts work and not throughput.
 PER_LAYER = tuple(
     [(f"{fn}.{stat}", unit, better)
      for fn in TRACED
-     for stat, unit, better in (("calls", "count", "higher"), ("errors", "count", "lower"),
+     for stat, unit, better in (("calls", "1/op", "lower"), ("errors", "count", "lower"),
                                 ("busy_s", "s", "lower"), ("p50_us", "us", "lower"))]
     + [(f"root_theory.validate_root.p50_us.k{k}", "us", "lower") for k in VALIDATE_WIDTHS]
     + [
@@ -230,10 +231,11 @@ class Rebinder:
 def layer_metrics(tracer: Tracer) -> dict:
     """The span-derived part of PER_LAYER, keyed by metric name."""
     summary = tracer.summary()
+    ops = summary[OP]["calls"]
     out = {}
     for fn in TRACED:
         agg = summary[fn]
-        out[f"{fn}.calls"] = agg["calls"]
+        out[f"{fn}.calls"] = _ratio(agg["calls"], ops)
         out[f"{fn}.errors"] = agg["errors"]
         out[f"{fn}.busy_s"] = agg["busy_s"]
         out[f"{fn}.p50_us"] = _median_us(agg["durations"])

@@ -6,8 +6,8 @@
 Runs dlgbench/run.py once per (workload, seed), one run at a time, with
 BENCHMARK.json's run_seconds. For each end-to-end metric it reports the
 median, the quartiles (statistics.quantiles, n=4) and the spread
-(q3 - q1) / median, which must stay within the metric's bound (setup_s
-excepted) and should stay below a third of it. With --against, it also
+(q3 - q1) / median, which must stay within the metric's bound and
+should stay below a third of it. With --against, it also
 checks that each median is no worse than the earlier report's by more
 than the bound. With --trace it makes traced runs instead and reports
 the median of each per-layer metric.
@@ -57,7 +57,6 @@ def worse_by(old: float, new: float, better: str) -> float:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", default="1-10", help="range like 1-10 or list like 3,7")
-    ap.add_argument("--workloads", help="comma-separated; default all in BENCHMARK.json")
     ap.add_argument("--trace", action="store_true", help="traced runs: per-layer medians")
     ap.add_argument("--out", help="write the report here as JSON")
     ap.add_argument("--against", help="an earlier report to compare medians with")
@@ -65,7 +64,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     bounds = {m["name"]: m for m in spec["end_to_end"]}
-    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
+    workloads = [w["name"] for w in spec["workloads"]]
     seeds = seed_list(args.seeds)
     earlier = json.loads(Path(args.against).read_text())["workloads"] if args.against else {}
 
@@ -88,9 +87,7 @@ def main(argv=None) -> int:
             entry["end_to_end"][name] = st
             verdict = ("steady" if st["spread"] <= m["bound"] / 3
                        else "within bound" if st["spread"] <= m["bound"] else "EXCEEDS bound")
-            if name == "setup_s" and verdict == "EXCEEDS bound":
-                verdict = "exceeds bound (setup_s: spread not gated)"
-            elif verdict == "EXCEEDS bound":
+            if verdict == "EXCEEDS bound":
                 ok = False
             line = (f"  {name:12s} median {st['median']:12.6g}  q1 {st['q1']:12.6g}  q3 {st['q3']:12.6g}"
                     f"  spread {st['spread']:6.2%} (bound {m['bound']:.0%}) {verdict}")
