@@ -1,13 +1,15 @@
 """dlg2k benchmark: one workload, one seed, one closed-loop client.
 
-    python3 dlgbench/run.py --workload roundtrip-1024 --seed 1 --seconds 15 --trace 0
+    python3 dlgbench/run.py --workload roundtrip-1024 --seed 1 --seconds 20 --trace 0
 
 Run from the root of a dlg2k checkout; the program is imported from
 ./src, never from an installed copy. One process runs one workload, so
 set-up time and peak memory belong to that workload alone.
 
 --trace 0 reports the end-to-end metrics setup_s, ops_per_s, op_p50_us
-and peak_rss_mb, and prints op_p99_us and failed_ratio.
+and peak_rss_mb, and prints op_p99_us and failed_ratio. The gated
+timings are scaled to a nominal host speed (see calibrate.py); their
+wall-clock values are printed beside them.
 --trace 1 alternates untraced and traced slices of the window and
 reports the per-layer metrics in spans.PER_LAYER, including the
 traced/untraced throughput ratio.
@@ -36,6 +38,8 @@ from array import array
 from pathlib import Path
 from time import perf_counter
 
+from calibrate import reference_chunk, to_nominal
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".bench_out"
@@ -44,7 +48,6 @@ SETUP_REPEATS = 15  # fresh processes per run, spread over the window; setup_s i
 WARMUP_S = 0.5
 MIN_OPS = 1000  # leaves ten samples beyond the 99th percentile; peak_rss_mb is read here
 MAX_WINDOW_FACTOR = 3  # a slow machine may stretch the window this far for MIN_OPS
-BATCH = 64
 SLICE_S = 0.25  # traced runs alternate untraced and traced slices this long
 
 END_TO_END = (
@@ -60,19 +63,24 @@ END_TO_END = (
 REPORTED = (("op_p99_us", "us"), ("failed_ratio", "ratio"))
 
 # Times `import dlg2k` and validate_root on the reused bases in a fresh
-# interpreter. argv: src dir, comma-separated modules, then k:hex bases.
+# interpreter, then five reference chunks there. argv: src dir, benchmark
+# dir, comma-separated modules, then k:hex bases.
 _SETUP_CHILD = """
 import sys, time
 sys.path.insert(0, sys.argv[1])
 t0 = time.perf_counter()
-for m in sys.argv[2].split(","):
+for m in sys.argv[3].split(","):
     __import__(m)
 from dlg2k.kbit_core import Residue
 from dlg2k.root_theory import validate_root
-for kh in sys.argv[3:]:
+for kh in sys.argv[4:]:
     k, h = kh.split(":")
     validate_root(Residue(int(k), int(h, 16)))
-print(repr(time.perf_counter() - t0))
+setup = time.perf_counter() - t0
+sys.path.insert(0, sys.argv[2])
+from calibrate import reference_chunk
+reference_chunk()
+print(repr(setup), *(repr(reference_chunk()) for _ in range(5)))
 """
 
 
@@ -88,16 +96,22 @@ def load_program():
     return dlg2k
 
 
-def time_setup(modules, bases) -> float:
-    """One set-up, timed in a fresh interpreter."""
-    argv = [sys.executable, "-c", _SETUP_CHILD, str(SRC), ",".join(modules),
+def time_setup(modules, bases) -> tuple[float, list[float]]:
+    """One set-up, timed in a fresh interpreter, and the reference chunks timed after it."""
+    argv = [sys.executable, "-c", _SETUP_CHILD, str(SRC), str(Path(__file__).resolve().parent), ",".join(modules),
             *(f"{k}:{h:x}" for k, h in bases)]
     done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=120, check=True)
-    return float(done.stdout.strip().splitlines()[-1])
+    setup, *refs = map(float, done.stdout.strip().splitlines()[-1].split())
+    return setup, refs
 
 
 class Window:
     """Operations run in one mode, with their timed wall clock.
+
+    With calibrate set, the reference chunk runs after every batch, its
+    times are kept in ref_times, and the batch's elapsed time and
+    latencies are also kept scaled to the nominal host speed of the
+    chunks on either side of it.
 
     With rss_after set, peak_rss_mb is read after the first batch that
     brings the window to that many operations. Memory a long run keeps
@@ -106,7 +120,7 @@ class Window:
     work, so a faster program does not read as a larger one.
     """
 
-    def __init__(self, rss_after: int | None = None):
+    def __init__(self, rss_after: int | None = None, calibrate: bool = False):
         self.elapsed = 0.0
         self.attempted = 0
         self.failed = 0
@@ -114,10 +128,24 @@ class Window:
         self.first_failure = None
         self.rss_after = rss_after
         self.peak_rss_mb = None
+        self.ref_times = array("d") if calibrate else None
+        self.nominal_elapsed = 0.0
+        self.nominal_latencies = array("d")
 
     @property
     def verified(self) -> int:
         return self.attempted - self.failed
+
+    def add_nominal(self, first: int, elapsed: float) -> None:
+        """Scale the batch whose latencies start at index first.
+
+        The host's speed changes between phases that last from a fraction
+        of a second to minutes, so each batch is scaled by the chunks
+        timed just before and just after it, not by the run's mean.
+        """
+        f = to_nominal(self.ref_times[-2:])
+        self.nominal_elapsed += elapsed * f
+        self.nominal_latencies.extend(x * f for x in self.latencies[first:])
 
 
 class Runner:
@@ -134,9 +162,10 @@ class Runner:
         until(elapsed, attempted) ends the batch early once it holds.
         """
         wl, tracer = self.wl, self.tracer
-        inputs = [wl.draw(self.rng, phase) for _ in range(BATCH)]
+        inputs = [wl.draw(self.rng, phase) for _ in range(wl.batch)]
         results = []
         lat = win.latencies
+        first = len(lat)
         if traced:
             self.rebinder.install()
         t0 = perf_counter()
@@ -159,9 +188,13 @@ class Runner:
                 if until(win.elapsed + (e - t0), win.attempted + len(results)):
                     break
         finally:
-            win.elapsed += perf_counter() - t0
+            elapsed = perf_counter() - t0
+            win.elapsed += elapsed
             if traced:
                 self.rebinder.uninstall()
+        if win.ref_times is not None:
+            win.ref_times.append(reference_chunk())
+            win.add_nominal(first, elapsed)
         for inp, out, ok in results:
             win.attempted += 1
             if ok:
@@ -236,14 +269,16 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, *,
     warm = Window()
     runner.fill("warm", warm, warmup_s)
 
-    plain = Window(rss_after=min_ops)
+    plain = Window(rss_after=min_ops, calibrate=not trace)
     traced = Window()
-    setup_times = []
+    setup_times, setup_factors = [], []
     if not trace:
         # Set-up is timed between slices of the window, so its median sees
         # the host's speed over the whole run, as ops_per_s does.
         for i in range(1, setup_repeats + 1):
-            setup_times.append(time_setup(wl.modules, bases))
+            setup, refs = time_setup(wl.modules, bases)
+            setup_times.append(setup)
+            setup_factors.append(to_nominal(refs))
             runner.fill("plain", plain, seconds * i / setup_repeats,
                         min_ops if i == setup_repeats else 0)
     else:
@@ -264,6 +299,7 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, *,
         "first_failure": next((w.first_failure for w in (warm, *windows) if w.first_failure), None),
         "window_s": plain.elapsed, "verified": plain.verified,
         "setup_runs_s": setup_times,
+        "setup_to_nominal": setup_factors,
     }
     if not trace:
         lat = sorted(plain.latencies)
@@ -271,12 +307,20 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, *,
         result["samples"] = len(lat)
         result["p99_beyond"] = beyond
         result["op_p99_us"] = p99 * 1e6
-        metrics = {
+        wall = result["wall"] = {
             "setup_s": statistics.median(setup_times),
             "ops_per_s": plain.verified / plain.elapsed,
+            "op_p50_us": statistics.median(lat) * 1e6,
+        }
+        result["to_nominal"] = plain.nominal_elapsed / plain.elapsed
+        result["ref_chunks"] = len(plain.ref_times)
+        metrics = {
+            # each set-up is scaled by the chunks its own interpreter timed
+            "setup_s": statistics.median(s * f for s, f in zip(setup_times, setup_factors)),
+            "ops_per_s": plain.verified / plain.nominal_elapsed,
             # None only if the window hit its cap before MIN_OPS ran
             "peak_rss_mb": plain.peak_rss_mb or peak_rss_mb(),
-            "op_p50_us": statistics.median(lat) * 1e6,
+            "op_p50_us": statistics.median(plain.nominal_latencies) * 1e6,
         }
     else:
         import spans
@@ -369,8 +413,11 @@ def main(argv=None) -> int:
         print(f"{args.workload} seed={args.seed} samples={result['samples']} "
               f"(beyond p99: {result['p99_beyond']}) attempted={result['attempted']} "
               f"failed={result['failed']} failed_ratio={result['failed_ratio']}")
+        print(f"  host speed: window wall time x {result['to_nominal']:.4f} = nominal-speed time "
+              f"({result['ref_chunks']} reference chunks)")
         for key, unit in END_TO_END:
-            print(f"  {key} = {m[key]:.6g} {unit}")
+            wall = f" (wall clock {result['wall'][key]:.6g})" if key in result["wall"] else ""
+            print(f"  {key} = {m[key]:.6g} {unit}{wall}")
         for key, unit in REPORTED:
             print(f"  {key} = {result[key]:.6g} {unit} (reported, not gated)")
     if result["first_failure"]:

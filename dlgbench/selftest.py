@@ -12,6 +12,7 @@ import contextlib
 import json
 import unittest
 
+import calibrate
 import run
 
 run.load_program()
@@ -52,7 +53,8 @@ class CorrectnessCheck(unittest.TestCase):
                 self.assertGreater(res["failed"], 0)
                 self.assertGreater(res["failed_ratio"], 0)
                 self.assertEqual(res["verified"], res["attempted"] - res["failed"])
-                self.assertAlmostEqual(res["metrics"]["ops_per_s"] * res["window_s"], res["verified"])
+                self.assertAlmostEqual(
+                    res["metrics"]["ops_per_s"] * res["window_s"] * res["to_nominal"], res["verified"])
                 self.assertIsNotNone(res["first_failure"])
 
 
@@ -66,6 +68,26 @@ class TinyRuns(unittest.TestCase):
                 self.assertEqual(res["failed"], 0)
                 self.assertEqual(set(res["metrics"]), {n for n, _ in run.END_TO_END})
                 self.assertTrue(all(v > 0 for v in res["metrics"].values()), res["metrics"])
+
+    def test_timings_are_scaled_by_the_reference_chunks(self):
+        res = run.run_workload("lns-64", seed=5, seconds=0.2, trace=False, **TINY)
+        m = res["metrics"]
+        self.assertGreater(res["ref_chunks"], 0)
+        self.assertAlmostEqual(m["ops_per_s"], res["wall"]["ops_per_s"] / res["to_nominal"])
+        self.assertAlmostEqual(m["setup_s"], res["setup_runs_s"][0] * res["setup_to_nominal"][0])
+        # chunks that take twice the nominal time halve every duration
+        nominal = calibrate.REF_NOMINAL_S
+        self.assertAlmostEqual(calibrate.to_nominal([2 * nominal] * 3), 0.5)
+        # each batch is scaled by the chunks just before and after it
+        win = run.Window(calibrate=True)
+        win.latencies.extend([1.0, 2.0])
+        win.ref_times.append(2 * nominal)
+        win.add_nominal(0, 3.0)
+        win.latencies.append(3.0)
+        win.ref_times.append(nominal)
+        win.add_nominal(2, 3.0)
+        self.assertEqual(list(win.nominal_latencies), [0.5, 1.0, 2.0])
+        self.assertAlmostEqual(win.nominal_elapsed, 1.5 + 2.0)
 
     def test_peak_rss_is_read_after_a_fixed_count(self):
         win = run.Window(rss_after=10)

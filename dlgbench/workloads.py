@@ -64,6 +64,9 @@ class Workload:
 
     name = ""
     modules = ("dlg2k",)  # what set-up imports
+    # Operations per batch, about 25 ms of work: the reference chunk runs
+    # between batches, so it samples the host's speed that often.
+    batch = 64
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -104,6 +107,7 @@ class RoundTrip(Workload):
 
     name = "roundtrip-1024"
     k = 1024
+    batch = 4
 
     def __init__(self, seed):
         super().__init__(seed)
@@ -140,6 +144,7 @@ class Lns64(Workload):
 
     name = "lns-64"
     k = 64
+    batch = 128
     src = 3
     dst = (0x5, 0xB, 0xD, 0x13)
 
@@ -199,6 +204,7 @@ class OneShotCli(Workload):
     name = "oneshot-cli"
     modules = ("dlg2k", "dlg2k.cli")
     widths = (64, 256, 1024)
+    batch = 6  # one of each (command, width) pair
 
     def draw(self, rng, phase):
         factor = self._alternate()
@@ -249,6 +255,7 @@ class Vectors256(Workload):
 
     name = "vectors-256"
     k = 256
+    batch = 96
     samples = 10**9  # the run, not the generator, decides how many to pull
 
     def __init__(self, seed):
