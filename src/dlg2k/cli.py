@@ -169,44 +169,42 @@ def cmd_bench(args) -> int:
     return EXIT_OK if worst <= bound else EXIT_RUNTIME
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="dlg2k",
-        description="Discrete logarithms modulo 2**k over semi-primitive-root bases.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
+def _common(sp, fmt_default):
+    sp.add_argument("--k", type=int, required=True, help="bit width")
+    sp.add_argument("--base", default="0x3", help="base as 0x hex (default 0x3)")
+    sp.add_argument("--format", choices=("json", "plain"), default=fmt_default)
 
-    def common(sp, fmt_default):
-        sp.add_argument("--k", type=int, required=True, help="bit width")
-        sp.add_argument("--base", default="0x3", help="base as 0x hex (default 0x3)")
-        sp.add_argument("--format", choices=("json", "plain"), default=fmt_default)
 
-    f = sub.add_parser("factor", help="factor a residue into its (s, p, e) triple")
-    common(f, "json")
+def _factor_args(f):
+    _common(f, "json")
     f.add_argument("--x", required=True, help="residue as 0x hex")
     f.set_defaults(func=cmd_factor)
 
-    d = sub.add_parser("decode", help="rebuild the residue from (s, p, e)")
-    common(d, "plain")
+
+def _decode_args(d):
+    _common(d, "plain")
     d.add_argument("--s", type=int, required=True, help="sign bit")
     d.add_argument("--p", type=int, required=True, help="dyadic valuation")
     d.add_argument("--e", type=int, required=True, help="exponent, decimal")
     d.set_defaults(func=cmd_decode)
 
-    r = sub.add_parser("roots", help="list the valid bases at a width (k <= 16)")
+
+def _roots_args(r):
     r.add_argument("--k", type=int, required=True, help="bit width")
     r.add_argument("--count-only", action="store_true")
     r.add_argument("--format", choices=("json", "plain"), default="plain")
     r.set_defaults(func=cmd_roots)
 
-    v = sub.add_parser("verify", help="certify the engine against the oracle or round trips")
+
+def _verify_args(v):
     v.add_argument("--k", required=True, help="width or inclusive range like 3..10")
     v.add_argument("--exhaustive", action="store_true", help="all bases, all odd residues (k <= 10)")
     v.add_argument("--samples", type=int, help="sampled mode: residues per width")
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(func=cmd_verify)
 
-    g = sub.add_parser("vectors", help="emit conformance vectors as JSON lines")
+
+def _vectors_args(g):
     g.add_argument("--k", type=int, required=True, help="bit width")
     g.add_argument("--base", default="0x3", help="base as 0x hex (default 0x3)")
     g.add_argument("--exhaustive", action="store_true", help="every residue, ascending (k <= 16)")
@@ -215,18 +213,56 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", help="write to a file instead of stdout")
     g.set_defaults(func=cmd_vectors)
 
-    b = sub.add_parser("bench", help="time the engine and report multiplication counts")
-    common(b, "plain")
+
+def _bench_args(b):
+    _common(b, "plain")
     b.add_argument("--samples", type=int, default=1000)
     b.add_argument("--seed", type=int, default=0)
     b.set_defaults(func=cmd_bench)
 
+
+# subcommand -> (help line, function adding its arguments), in help order
+COMMANDS = {
+    "factor": ("factor a residue into its (s, p, e) triple", _factor_args),
+    "decode": ("rebuild the residue from (s, p, e)", _decode_args),
+    "roots": ("list the valid bases at a width (k <= 16)", _roots_args),
+    "verify": ("certify the engine against the oracle or round trips", _verify_args),
+    "vectors": ("emit conformance vectors as JSON lines", _vectors_args),
+    "bench": ("time the engine and report multiplication counts", _bench_args),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="dlg2k",
+        description="Discrete logarithms modulo 2**k over semi-primitive-root bases.",
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args) in COMMANDS.items():
+        add_args(sub.add_parser(name, help=help_text))
     return p
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """What build_parser().parse_args(argv) returns, building one subparser.
+
+    A subcommand's parser alone behaves exactly like the same subparser
+    inside the full one, except that the full parser reports arguments
+    left over; those, and anything not led by a subcommand, go to it.
+    """
+    if argv and argv[0] in COMMANDS:
+        sp = argparse.ArgumentParser(prog=f"dlg2k {argv[0]}")
+        COMMANDS[argv[0]][1](sp)
+        args, extras = sp.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -10,10 +10,15 @@ e for an odd residue one binary digit per step: a residue that is
 1 mod 2**i moves to 1 mod 2**(i+1) after one multiplication by
 h**(2**(i-2)), because that power is 2**i + 1 modulo 2**(i+1) and so
 flips bit i while leaving everything below untouched. Clearing the
-working product's bits from position 3 upward therefore accumulates
-the exponent of the input's inverse using at most 2(k-3) + 2 width-k
-multiplications, and the exponent of the input follows by negation
-modulo 2**(k-2).
+working product's bits from position 3 upward spells out, in the
+positions of the table entries used, the exponent of the input's
+inverse, and the exponent of the input follows by negation modulo
+2**(k-2). Only the working product is multiplied, so a logarithm
+performs at most one width-k multiplication up front and one per
+cleared bit. The paper's cost model also multiplies the used entries
+into an accumulator, two multiplications per cleared bit and at most
+2(k-3) + 2 in all; dlg_counted reports that count without doing the
+accumulator's work, which no result depends on.
 """
 
 from __future__ import annotations
@@ -27,11 +32,22 @@ from .kbit_core import (
     invert_odd,
     mpz,
     powmod,
-    truncate,
 )
-from .root_theory import Root, validate_root
+from .root_theory import Root, validate_root  # noqa: F401  (re-exported)
 
-_ONE = mpz(1)
+
+def _json_int(obj: dict, name: str) -> int:
+    v = obj[name]
+    if type(v) is not int:  # bool and float are not integers here
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return v
+
+
+def _json_exponent(obj: dict) -> int:
+    e = obj["e"]
+    if not (isinstance(e, str) and e.isascii() and e.isdigit()):
+        raise ValueError(f"e must be a string of decimal digits, got {e!r}")
+    return int(e)
 
 
 @dataclass(frozen=True)
@@ -55,9 +71,9 @@ class DlgPair:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DlgPair":
-        if int(obj.get("p", 0)) != 0:
+        if "p" in obj and _json_int(obj, "p") != 0:
             raise ValueError(f"a pair describes an odd residue, so p must be 0, got {obj['p']}")
-        return cls(s=int(obj["s"]), e=int(obj["e"]), k=int(obj["k"]))
+        return cls(s=_json_int(obj, "s"), e=_json_exponent(obj), k=_json_int(obj, "k"))
 
 
 @dataclass(frozen=True)
@@ -85,12 +101,13 @@ class DlgTriple:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DlgTriple":
-        return cls(s=int(obj["s"]), p=int(obj["p"]), e=int(obj["e"]), k=int(obj["k"]))
+        return cls(s=_json_int(obj, "s"), p=_json_int(obj, "p"), e=_json_exponent(obj),
+                   k=_json_int(obj, "k"))
 
 
 @dataclass
 class MulCounter:
-    """Width-k modular multiplications performed by one engine call."""
+    """The paper's count of width-k multiplications for one logarithm."""
 
     count: int = 0
 
@@ -126,37 +143,33 @@ def classify_sign(a: Residue, base: Root) -> int:
     return _negative(a.value, base.h.value)
 
 
-def _dlg_odd(value: int, base: Root) -> tuple[int, int, int]:
+def _dlg_odd(value: int, base: Root) -> tuple[int, int]:
     # Digit-serial loop. P starts at the positive representative of
-    # value; invariant entering step i is P = 1 (mod 2**i). B tracks
-    # the product of table powers applied so far (the inverse of that
-    # representative once P hits 1) and b its exponent.
+    # value; invariant entering step i is P = 1 (mod 2**i). b collects
+    # the exponents of the table entries applied so far, whose product
+    # is the inverse of that representative once P reaches 1.
     k = base.k
-    mask, squares = base._hot
-    h = base.h.value
+    squares = base._hot
+    mask = (1 << k) - 1
+    h = squares[0]
     s = _negative(value, h)
     P = (-mpz(value)) & mask if s else mpz(value)
-    h3 = h & 7
-    assert P & 7 in (1, h3)
-    if P & 7 == h3:
-        B = squares[0]
+    low3 = P & 7
+    if low3 == h & 7:
+        P = (P * h) & mask
         b = 1
-    else:
-        B = _ONE
+    elif low3 == 1:
         b = 0
-    P = (P * B) & mask
-    count = 1
-    i = bit_scan1(P, 1)
+    else:
+        raise ArithmeticError(f"{hex(value)} is not +/- a power of {hex(h)} modulo 8")
+    i = bit_scan1(P, 3)
     while i is not None:
-        g = squares[i - 2]
+        P = (P * squares[i - 2]) & mask
         b += 1 << (i - 2)
-        B = (B * g) & mask
-        P = (P * g) & mask
-        count += 2
         i = bit_scan1(P, i)
-    assert P == 1
-    e = (1 << (k - 2)) - b if b else 0
-    return s, e, count
+    if P != 1:
+        raise ArithmeticError(f"digit-serial loop for {hex(value)} over {hex(h)} ended at {hex(P)}")
+    return s, -b & ((1 << (k - 2)) - 1)
 
 
 def dlg(a: Residue, base: Root) -> DlgPair:
@@ -164,21 +177,23 @@ def dlg(a: Residue, base: Root) -> DlgPair:
     _same_width_as_base(a, base)
     if not a.is_odd:
         raise ValueError("dlg takes odd residues; factor_triple handles the rest")
-    s, e, _ = _dlg_odd(a.value, base)
+    s, e = _dlg_odd(a.value, base)
     return DlgPair(s=s, e=e, k=base.k)
 
 
 def dlg_counted(a: Residue, base: Root) -> tuple[DlgPair, MulCounter]:
-    """dlg plus the number of width-k multiplications it performed.
+    """dlg plus the paper's multiplication count for it.
 
-    The count never exceeds 2(k-3) + 2: one multiplication up front
-    and two per set bit cleared at positions 3..k-1.
+    The paper's loop multiplies once up front and then twice per set
+    bit it clears at positions 3..k-1, so the count is
+    1 + 2*(cleared bits) and never exceeds 2(k-3) + 2. The cleared
+    positions are the set bits 1..k-3 of -e mod 2**(k-2), so the count
+    follows from the result; the engine itself performs at most
+    1 + (cleared bits) multiplications.
     """
-    _same_width_as_base(a, base)
-    if not a.is_odd:
-        raise ValueError("dlg takes odd residues; factor_triple handles the rest")
-    s, e, count = _dlg_odd(a.value, base)
-    return DlgPair(s=s, e=e, k=base.k), MulCounter(count)
+    pair = dlg(a, base)
+    b = -pair.e & ((1 << (base.k - 2)) - 1)
+    return pair, MulCounter(1 + 2 * (b >> 1).bit_count())
 
 
 def decode_pair(pair: DlgPair, base: Root) -> Residue:
@@ -195,7 +210,7 @@ def factor_triple(x: Residue, base: Root) -> DlgTriple:
     if v == 0:
         return DlgTriple(s=0, p=k, e=0, k=k)
     p = (v & -v).bit_length() - 1
-    s, e, _ = _dlg_odd(v >> p, base)
+    s, e = _dlg_odd(v >> p, base)
     return DlgTriple(s=s, p=p, e=e, k=k)
 
 
@@ -237,8 +252,9 @@ def rebase(pair: DlgPair, src: Root, dst: Root) -> DlgPair:
     """
     k = _check_widths(src, pair.k, dst.k)
     d = dlg(dst.h, src)
-    # d.e is odd whenever both bases are valid, hence invertible
-    assert d.e & 1
+    if not d.e & 1:
+        # d.e is odd whenever both bases are valid, hence invertible
+        raise ArithmeticError(f"{dst.h.hex()} is an even power of {src.h.hex()}")
     e2 = (pair.e * invert_odd(d.e, k - 2)) & ((1 << (k - 2)) - 1)
     s2 = pair.s ^ (d.s & e2 & 1)
     return DlgPair(s=s2, e=e2, k=k)
@@ -249,10 +265,12 @@ def dlg_truncated(a: Residue, base: Root, j: int) -> DlgPair:
 
     The result's exponent equals the full-width exponent reduced
     modulo 2**(j-2): low bits of the logarithm only ever depend on low
-    bits of the input.
+    bits of the input. The sign sits in the low three bits and carries
+    over unchanged, so this reduces the full-width logarithm and never
+    builds a base at width j.
     """
-    _same_width_as_base(a, base)
     check_width(j)
     if j > a.k:
         raise ValueError(f"cannot truncate width {a.k} up to width {j}")
-    return dlg(truncate(a, j), validate_root(truncate(base.h, j)))
+    pair = dlg(a, base)
+    return DlgPair(s=pair.s, e=pair.e & ((1 << (j - 2)) - 1), k=j)

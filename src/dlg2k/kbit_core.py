@@ -9,6 +9,7 @@ same semantics.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 try:
@@ -30,6 +31,8 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 
 MIN_WIDTH = 3
 MAX_WIDTH = 4096
+
+_HEX = re.compile(r"0x[0-9a-f]+")
 
 
 def check_width(k: int) -> int:
@@ -63,15 +66,16 @@ class Residue:
 
     @classmethod
     def parse(cls, k: int, text: str) -> "Residue":
-        """Parse a 0x-prefixed hex string; leading zeros are fine."""
+        """Parse a 0x-prefixed hex string; leading zeros are fine.
+
+        Only hex digits may follow the prefix: no sign, no underscores.
+        """
         t = text.strip().lower()
         if not t.startswith("0x"):
             raise ValueError(f"hex residue must carry an 0x prefix, got {text!r}")
-        try:
-            v = int(t, 16)
-        except ValueError:
-            raise ValueError(f"malformed hex residue {text!r}") from None
-        return cls(k, v)
+        if not _HEX.fullmatch(t):
+            raise ValueError(f"malformed hex residue {text!r}")
+        return cls(k, int(t, 16))
 
 
 def _same_width(a: Residue, b: Residue) -> int:
@@ -109,7 +113,8 @@ def invert_odd(v: int, bits: int) -> int:
     every odd v); each Newton step x <- x*(2 - v*x) doubles the number
     of correct low bits.
     """
-    assert v & 1
+    if not v & 1:
+        raise ValueError(f"even value {v} has no inverse modulo 2**{bits}")
     mask = (1 << bits) - 1
     x = v & mask
     good = 3

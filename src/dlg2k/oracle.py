@@ -21,6 +21,9 @@ from .kbit_core import Residue, check_width, powmod
 from .root_theory import Root
 
 TABLE_WIDTH_LIMIT = 20
+# Tables kept at once. At k = 20 one table holds 2**18 forward and
+# 2**19 backward entries; the exhaustive walks take one base at a time.
+TABLE_CACHE_SIZE = 4
 
 
 class CoverageError(ValueError):
@@ -76,7 +79,7 @@ class DlgTable:
         return _build_table(base.k, base.h.value)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _build_table(k: int, h: int) -> DlgTable:
     if k > TABLE_WIDTH_LIMIT:
         raise ValueError(f"table would hold 2**{k - 1} entries; k <= {TABLE_WIDTH_LIMIT} only")
@@ -141,7 +144,8 @@ def extended_gcd_inverse(a: Residue) -> Residue:
         q = old_r // r
         old_r, r = r, old_r - q * r
         old_s, s = s, old_s - q * s
-    assert old_r == 1
+    if old_r != 1:
+        raise ArithmeticError(f"gcd of {a.hex()} and 2**{a.k} is {old_r}, not 1")
     return Residue(a.k, old_s)
 
 

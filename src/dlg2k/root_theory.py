@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .kbit_core import Residue, check_width, mpz, mul
+from .kbit_core import Residue, check_width
 
 ENUMERATION_LIMIT = 16
 
@@ -24,29 +24,44 @@ class NotSemiPrimitiveError(ValueError):
 
 @dataclass(frozen=True)
 class Root:
-    """A validated base together with its table of repeated squares.
+    """A validated base: the residue h and its class h mod 8 (3 or 5).
 
-    power_table[j] holds h**(2**j) at width k. The digit-serial engine
-    multiplies by entries 1..k-3; the last entry always equals
-    2**(k-1) + 1, which construction checks.
+    The table of repeated squares h**(2**j), j = 0..k-3, is built on
+    the first logarithm taken over the base and kept from then on;
+    validation and decoding never build it. Its last entry always
+    equals 2**(k-1) + 1, which the build checks.
     """
 
     h: Residue
     mod8_class: int
-    power_table: tuple[Residue, ...]
 
     @property
     def k(self) -> int:
         return self.h.k
 
     @cached_property
-    def _hot(self):
-        # mask and squares in the fast integer type, for the inner loop
-        return mpz((1 << self.k) - 1), tuple(mpz(r.value) for r in self.power_table)
+    def _hot(self) -> tuple[int, ...]:
+        # the square table as plain ints, for the engine's inner loop
+        k = self.k
+        mask = (1 << k) - 1
+        x = self.h.value
+        squares = [x]
+        for _ in range(k - 3):
+            x = (x * x) & mask
+            squares.append(x)
+        if k > 3 and x != (1 << (k - 1)) + 1:
+            # the square chain of any base 3 or 5 (mod 8) lands there
+            raise ArithmeticError(f"square chain of {self.h.hex()} at width {k} ends at {hex(x)}")
+        return tuple(squares)
+
+    @property
+    def power_table(self) -> tuple[Residue, ...]:
+        """h**(2**j) at width k for j = 0..k-3, as residues."""
+        return tuple(Residue(self.k, x) for x in self._hot)
 
 
 def validate_root(h: Residue) -> Root:
-    """Accept h iff h = 3 or 5 (mod 8), and build its square table.
+    """Accept h iff h = 3 or 5 (mod 8); an O(1) bit test.
 
     7 (mod 8) is rejected even though such residues can have the same
     order: -1 is then itself a power of h, so +h**i and -h**i collapse
@@ -60,14 +75,7 @@ def validate_root(h: Residue) -> Root:
             f"base must be 3 or 5 (mod 8) to split the odd residues, "
             f"got {h.hex()} = {low3} (mod 8)"
         )
-    k = h.k
-    table = [h]
-    for _ in range(k - 3):
-        table.append(mul(table[-1], table[-1]))
-    if k > 3:
-        # the square chain of any accepted base lands on 2**(k-1) + 1
-        assert table[-1].value == (1 << (k - 1)) + 1
-    return Root(h=h, mod8_class=low3, power_table=tuple(table))
+    return Root(h=h, mod8_class=low3)
 
 
 def multiplicative_order(a: Residue) -> int:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from dlg2k import cli
 from dlg2k.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from dlg2k.oracle import TestVector
 
@@ -202,3 +203,42 @@ class TestArgparseBehavior:
 
     def test_help_exits_0(self, capsys):
         assert run(capsys, "--help")[0] == EXIT_OK
+
+
+class TestOneSubcommandParser:
+    MATRIX = [
+        [],
+        ["--help"],
+        ["-h"],
+        ["factor", "--help"],
+        ["decode", "-h"],
+        ["vectors", "--help"],
+        ["frobnicate"],
+        ["factor", "--k", "5"],
+        ["decode", "--k", "5", "--s", "0", "--p", "0"],
+        ["factor", "--k", "five", "--x", "0x3"],
+        ["factor", "--k", "5", "--format", "xml", "--x", "0x3"],
+        ["factor", "--k", "5", "--x", "0x3", "extra"],
+        ["factor", "--k", "5", "--x", "0x3", "--frob"],
+        ["roots", "--k", "4", "--frob"],
+        ["factor", "--k", "5", "--x", "0xc"],
+        ["decode", "--k", "5", "--s", "1", "--p", "0", "--e", "6"],
+        ["verify", "--k", "3..4", "--exhaustive"],
+    ]
+
+    @pytest.mark.parametrize("argv", MATRIX, ids=lambda argv: " ".join(argv) or "<none>")
+    def test_matches_the_full_parser(self, capsys, monkeypatch, argv):
+        got = run(capsys, *argv)
+        monkeypatch.setattr(cli, "parse_args", lambda a: cli.build_parser().parse_args(a))
+        assert got == run(capsys, *argv)
+
+    def test_subcommand_builds_only_its_own_parser(self, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("built the full parser")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert run(capsys, "factor", "--k", "5", "--x", "0xc")[:2] == (EXIT_OK, '{"s":0,"p":2,"e":"1","k":5}\n')
+
+    def test_namespace_matches_the_full_parser(self):
+        argv = ["vectors", "--k", "8", "--samples", "3", "--seed", "2"]
+        assert cli.parse_args(argv) == cli.build_parser().parse_args(argv)

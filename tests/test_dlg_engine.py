@@ -26,7 +26,7 @@ from dlg2k.dlg_engine import (
 )
 from dlg2k.kbit_core import Residue, inverse, mul, truncate
 from dlg2k.oracle import brute_force_dlg
-from dlg2k.root_theory import enumerate_roots, validate_root
+from dlg2k.root_theory import Root, enumerate_roots, validate_root
 
 R5_3 = validate_root(Residue(5, 3))
 R5_5 = validate_root(Residue(5, 5))
@@ -60,6 +60,38 @@ class TestTypes:
     def test_pair_from_json_rejects_shifted(self):
         with pytest.raises(ValueError):
             DlgPair.from_json({"s": 0, "p": 2, "e": "1", "k": 5})
+
+    def test_from_json_rejects_bool_sign(self):
+        with pytest.raises(ValueError, match="s must be an integer"):
+            DlgTriple.from_json({"s": True, "p": 1, "e": "10", "k": 8})
+
+    def test_from_json_rejects_float_valuation(self):
+        with pytest.raises(ValueError, match="p must be an integer"):
+            DlgTriple.from_json({"s": 1, "p": 1.9, "e": "10", "k": 8})
+
+    def test_from_json_rejects_float_width(self):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            DlgTriple.from_json({"s": 1, "p": 1, "e": "10", "k": 8.7})
+
+    def test_from_json_rejects_underscored_exponent(self):
+        with pytest.raises(ValueError, match="decimal digits"):
+            DlgTriple.from_json({"s": 1, "p": 1, "e": "1_0", "k": 8})
+
+    def test_pair_from_json_rejects_padded_exponent(self):
+        with pytest.raises(ValueError, match="decimal digits"):
+            DlgPair.from_json({"s": 0, "p": 0, "e": " 7 ", "k": 8})
+
+    def test_from_json_rejects_numeric_exponent(self):
+        with pytest.raises(ValueError, match="decimal digits"):
+            DlgPair.from_json({"s": 0, "e": 7, "k": 8})
+
+    def test_json_round_trips_every_triple_width_5(self):
+        for x in range(32):
+            t = factor_triple(Residue(5, x), R5_3)
+            assert DlgTriple.from_json(json.loads(json.dumps(t.to_json()))) == t
+            if t.p == 0:
+                pair = DlgPair(s=t.s, e=t.e, k=5)
+                assert DlgPair.from_json(pair.to_json()) == pair
 
     def test_triple_json_round_trip(self):
         t = DlgTriple(s=0, p=2, e=1, k=5)
@@ -132,6 +164,13 @@ class TestDlg:
             for root in bases:
                 assert decode_pair(dlg(a, root), root) == a
 
+    def test_guard_survives_a_base_off_the_rule(self):
+        # 7 = -1 (mod 8) at width 3 has no chain to check; the loop's
+        # own guard refuses instead of answering
+        bad = Root(h=Residue(3, 7), mod8_class=7)
+        with pytest.raises(ArithmeticError):
+            dlg(Residue(3, 3), bad)
+
     def test_exponent_of_base_is_one(self):
         for k in (3, 5, 9, 33):
             for h in (3, 5):
@@ -156,6 +195,24 @@ class TestMulCounter:
         # 17 = 2**4 + 1 at width 5: one table hit
         _, counter = dlg_counted(Residue(5, 17), R5_3)
         assert counter.count == 3
+
+    def test_count_is_the_paper_loop_count_width_8(self):
+        # the paper's loop with its accumulator, counting every product
+        k, mask = 8, 255
+        for root in enumerate_roots(k):
+            h = root.h.value
+            squares = [h]
+            for _ in range(k - 3):
+                squares.append(squares[-1] ** 2 & mask)
+            for v in range(1, 256, 2):
+                P = -v & mask if classify_sign(Residue(k, v), root) else v
+                B = h if P & 7 == h & 7 else 1
+                P, count = P * B & mask, 1
+                for i in range(3, k):
+                    if P >> i & 1:
+                        B, P, count = B * squares[i - 2] & mask, P * squares[i - 2] & mask, count + 2
+                assert P == 1
+                assert dlg_counted(Residue(k, v), root)[1].count == count
 
 
 class TestTripleCodec:
@@ -245,6 +302,12 @@ class TestRebase:
         with pytest.raises(ValueError):
             rebase(DlgPair(0, 1, 5), R5_3, r6)
 
+    def test_target_off_the_rule_raises(self):
+        # 1 = 3**0 is no base; a Root built around validate_root
+        one = Root(h=Residue(3, 1), mod8_class=1)
+        with pytest.raises(ArithmeticError):
+            rebase(DlgPair(0, 1, 3), validate_root(Residue(3, 3)), one)
+
 
 class TestDlgTruncated:
     def test_examples(self):
@@ -269,3 +332,46 @@ class TestDlgTruncated:
     def test_widening_raises(self):
         with pytest.raises(ValueError):
             dlg_truncated(Residue(5, 7), R5_3, 6)
+
+    def test_even_input_raises(self):
+        with pytest.raises(ValueError):
+            dlg_truncated(Residue(5, 6), R5_3, 4)
+
+    @staticmethod
+    def truncated_base_route(a, root, j, roots):
+        # the logarithm taken at width j over the truncated base
+        small = truncate(root.h, j)
+        if small not in roots:
+            roots[small] = validate_root(small)
+        return dlg(truncate(a, j), roots[small])
+
+    def test_matches_truncated_base_route_exhaustively(self):
+        roots = {}
+        for k in range(3, 9):
+            for root in enumerate_roots(k):
+                for v in range(1, 1 << k, 2):
+                    a = Residue(k, v)
+                    for j in range(3, k + 1):
+                        assert dlg_truncated(a, root, j) == self.truncated_base_route(a, root, j, roots)
+
+    def test_matches_truncated_base_route_sampled(self):
+        rng = random.Random(0x7E)
+        for k, samples in ((64, 20), (256, 4)):
+            roots = {}
+            for _ in range(3):
+                hv = rng.getrandbits(k) & ~7 | rng.choice((3, 5))
+                root = validate_root(Residue(k, hv))
+                for _ in range(samples):
+                    a = Residue(k, rng.getrandbits(k) | 1)
+                    for j in range(3, k + 1):
+                        assert dlg_truncated(a, root, j) == self.truncated_base_route(a, root, j, roots)
+
+    def test_never_validates_a_base(self, monkeypatch):
+        import dlg2k.root_theory
+
+        def refuse(h):
+            raise AssertionError("dlg_truncated validated a base")
+
+        monkeypatch.setattr(dlg2k.dlg_engine, "validate_root", refuse)
+        monkeypatch.setattr(dlg2k.root_theory, "validate_root", refuse)
+        assert dlg_truncated(Residue(5, 7), R5_3, 4) == DlgPair(1, 2, 4)

@@ -5,6 +5,10 @@ inverse values double-checked against the extended-gcd route in
 test_oracle.py.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,6 +66,11 @@ class TestResidue:
             Residue.parse(8, "0xzz")
         with pytest.raises(ValueError):
             Residue.parse(8, "-0x5")
+
+    def test_parse_rejects_underscores(self):
+        # int("0x1_0", 16) would read 16
+        with pytest.raises(ValueError, match="malformed"):
+            Residue.parse(8, "0x1_0")
 
     def test_parse_reduces_wide_values(self):
         # same truncation semantics as construction
@@ -134,6 +143,27 @@ class TestInverse:
         for bits in (1, 2):
             for v in range(1, 1 << bits, 2):
                 assert invert_odd(v, bits) * v % (1 << bits) == 1
+
+    def test_invert_odd_rejects_even(self):
+        with pytest.raises(ValueError):
+            invert_odd(2, 8)
+
+    def test_invert_odd_rejects_even_under_python_O(self):
+        # the guard must not be an assert, which -O strips
+        src = os.path.dirname(os.path.dirname(sys.modules["dlg2k"].__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "import sys\n"
+            "from dlg2k.kbit_core import invert_odd\n"
+            "assert False, 'asserts are on'\n"
+            "try:\n"
+            "    invert_odd(2, 8)\n"
+            "except ValueError:\n"
+            "    sys.exit(0)\n"
+            "sys.exit(3)\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_large_width(self):
         k = 2048

@@ -5,6 +5,7 @@ import pytest
 from dlg2k.dlg_engine import DlgPair
 from dlg2k.kbit_core import Residue, inverse, mul
 from dlg2k.oracle import (
+    TABLE_CACHE_SIZE,
     TABLE_WIDTH_LIMIT,
     CoverageError,
     DlgTable,
@@ -77,6 +78,13 @@ class TestCoverage:
 
         with pytest.raises(CoverageError):
             _build_table(5, 7)
+
+    def test_table_cache_is_bounded(self):
+        from dlg2k.oracle import _build_table
+
+        for root in enumerate_roots(7):
+            DlgTable.build(root)
+        assert 0 < _build_table.cache_info().currsize <= TABLE_CACHE_SIZE
 
 
 class TestExtendedGcdInverse:

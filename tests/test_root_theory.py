@@ -2,6 +2,7 @@
 
 import pytest
 
+from dlg2k.dlg_engine import decode_triple, dlg, factor_triple
 from dlg2k.kbit_core import Residue, mul, truncate
 from dlg2k.oracle import covers_odd_residues
 from dlg2k.root_theory import (
@@ -67,6 +68,35 @@ class TestValidateRoot:
         root = validate_root(Residue(k, 3))
         assert root.k == k
         assert root.power_table[-1].value == (1 << (k - 1)) + 1
+
+    def test_validation_builds_no_table(self):
+        root = validate_root(Residue(1024, 3))
+        assert "_hot" not in vars(root)
+        decode_triple(factor_triple(Residue(1024, 0), root), root)
+        assert "_hot" not in vars(root)
+
+    def test_first_logarithm_builds_the_table_once(self):
+        root = validate_root(Residue(64, 5))
+        dlg(Residue(64, 7), root)
+        table = vars(root)["_hot"]
+        dlg(Residue(64, 9), root)
+        assert vars(root)["_hot"] is table
+
+    def test_power_table_is_repeated_squaring(self):
+        for k, h in ((3, 5), (64, 0xDEADBEEF0BAD4B1D), (1024, (1 << 1000) + 3)):
+            root = validate_root(Residue(k, h))
+            expected = [Residue(k, h)]
+            for _ in range(k - 3):
+                expected.append(mul(expected[-1], expected[-1]))
+            assert list(root.power_table) == expected
+
+    def test_base_off_the_rule_fails_at_the_chain_endpoint(self):
+        # a Root built around validate_root: the table build catches it
+        bad = Root(h=Residue(5, 9), mod8_class=1)
+        with pytest.raises(ArithmeticError):
+            bad.power_table
+        with pytest.raises(ArithmeticError):
+            dlg(Residue(5, 3), bad)
 
     def test_truncating_a_root_yields_a_root(self):
         for root in enumerate_roots(10):
